@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "util/expect.hpp"
+#include "util/number_text.hpp"
 
 namespace erapid::fault {
 
@@ -25,21 +26,18 @@ std::vector<std::string> split(const std::string& s, char sep) {
   return out;
 }
 
-std::uint64_t parse_u64(const std::string& tok, const std::string& spec) {
-  ERAPID_EXPECT(!tok.empty(), "empty number in fault spec: '" + spec + "'");
-  std::uint64_t v = 0;
-  for (const char c : tok) {
-    ERAPID_EXPECT(c >= '0' && c <= '9', "bad number '" + tok + "' in fault spec: '" + spec + "'");
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return v;
+template <class T = std::uint64_t>
+T parse_number(const std::string& tok, const std::string& spec) {
+  const auto v = util::parse_unsigned<T>(tok);
+  ERAPID_EXPECT(v.has_value(), "bad number '" + tok + "' in fault spec: '" + spec + "'");
+  return *v;
 }
 
 /// Parses a "<letter><number>" token like "d2" / "w1" / "b0" / "n3".
 std::uint32_t parse_tagged(const std::string& tok, char tag, const std::string& spec) {
   ERAPID_EXPECT(tok.size() >= 2 && tok[0] == tag,
                 std::string("expected '") + tag + "<n>' in fault spec: '" + spec + "'");
-  return static_cast<std::uint32_t>(parse_u64(tok.substr(1), spec));
+  return parse_number<std::uint32_t>(tok.substr(1), spec);
 }
 
 power::PowerLevel parse_cap(const std::string& tok, const std::string& spec) {
@@ -119,7 +117,7 @@ FaultEvent FaultEvent::parse(const std::string& spec) {
   ERAPID_EXPECT(!toks.empty(), "fault spec missing cycle: '" + spec + "'");
 
   FaultEvent e;
-  e.at = parse_u64(toks[0], spec);
+  e.at = parse_number(toks[0], spec);
 
   if (kind == "lane_fail") {
     ERAPID_EXPECT(toks.size() == 3 || toks.size() == 4,
@@ -130,7 +128,7 @@ FaultEvent FaultEvent::parse(const std::string& spec) {
     if (toks.size() == 4) {
       ERAPID_EXPECT(toks[3].size() >= 2 && toks[3][0] == 'r',
                     "expected 'r<cycle>' in fault spec: '" + spec + "'");
-      e.repair_at = parse_u64(toks[3].substr(1), spec);
+      e.repair_at = parse_number(toks[3].substr(1), spec);
       ERAPID_EXPECT(e.repair_at > e.at,
                     "repair cycle must come strictly after injection: '" + spec + "'");
     }
@@ -141,7 +139,7 @@ FaultEvent FaultEvent::parse(const std::string& spec) {
     e.dest = BoardId{parse_tagged(toks[1], 'd', spec)};
     e.wavelength = WavelengthId{parse_tagged(toks[2], 'w', spec)};
     e.ber = parse_ber(toks[3], spec);
-    e.duration = parse_u64(toks[4], spec);
+    e.duration = parse_number(toks[4], spec);
   } else if (kind == "rc_crash") {
     ERAPID_EXPECT(toks.size() == 2 || toks.size() == 3,
                   "rc_crash@<cycle>:b<board>[:r<repair>]: '" + spec + "'");
@@ -150,7 +148,7 @@ FaultEvent FaultEvent::parse(const std::string& spec) {
     if (toks.size() == 3) {
       ERAPID_EXPECT(toks[2].size() >= 2 && toks[2][0] == 'r',
                     "expected 'r<cycle>' in fault spec: '" + spec + "'");
-      e.repair_at = parse_u64(toks[2].substr(1), spec);
+      e.repair_at = parse_number(toks[2].substr(1), spec);
       ERAPID_EXPECT(e.repair_at > e.at,
                     "repair cycle must come strictly after injection: '" + spec + "'");
     }
@@ -162,7 +160,7 @@ FaultEvent FaultEvent::parse(const std::string& spec) {
     e.dest = BoardId{parse_tagged(toks[1], 'd', spec)};
     e.wavelength = WavelengthId{parse_tagged(toks[2], 'w', spec)};
     e.cap = parse_cap(toks[3], spec);
-    e.duration = parse_u64(toks[4], spec);
+    e.duration = parse_number(toks[4], spec);
   } else if (kind == "ctrl_drop") {
     ERAPID_EXPECT(toks.size() == 3 || toks.size() == 4,
                   "ctrl_drop@<cycle>:<ring|chain>:b<board>[:n<count>]: '" + spec + "'");

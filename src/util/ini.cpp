@@ -1,6 +1,5 @@
 #include "util/ini.hpp"
 
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -58,26 +57,6 @@ std::optional<std::string> Ini::get(const std::string& key) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return std::nullopt;
   return it->second;
-}
-
-std::string Ini::get_or(const std::string& key, const std::string& def) const {
-  return get(key).value_or(def);
-}
-
-long Ini::get_int(const std::string& key, long def) const {
-  const auto v = get(key);
-  return v ? std::strtol(v->c_str(), nullptr, 10) : def;
-}
-
-double Ini::get_double(const std::string& key, double def) const {
-  const auto v = get(key);
-  return v ? std::strtod(v->c_str(), nullptr) : def;
-}
-
-bool Ini::get_bool(const std::string& key, bool def) const {
-  const auto v = get(key);
-  if (!v) return def;
-  return *v == "true" || *v == "1" || *v == "yes" || *v == "on";
 }
 
 void Ini::save(std::ostream& out) const {

@@ -5,9 +5,11 @@
 //   [section]
 //   key = value
 //
-// Keys are addressed "section.key"; values are strings with typed getters.
-// This backs the `--config file.ini` option of the examples, so whole
-// experiment setups are reproducible from a checked-in file.
+// Keys are addressed "section.key"; values are raw strings (a comment must
+// sit on its own line). Typed decoding lives with the consumer
+// (sim/options_io's key table). This backs the `--config file.ini` option
+// of the examples, so whole experiment setups are reproducible from a
+// checked-in file.
 #pragma once
 
 #include <cstddef>
@@ -31,10 +33,6 @@ class Ini {
 
   [[nodiscard]] bool has(const std::string& key) const { return values_.count(key) > 0; }
   [[nodiscard]] std::optional<std::string> get(const std::string& key) const;
-  [[nodiscard]] std::string get_or(const std::string& key, const std::string& def) const;
-  [[nodiscard]] long get_int(const std::string& key, long def) const;
-  [[nodiscard]] double get_double(const std::string& key, double def) const;
-  [[nodiscard]] bool get_bool(const std::string& key, bool def) const;
 
   void set(const std::string& key, const std::string& value) { values_[key] = value; }
 

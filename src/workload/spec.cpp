@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "util/expect.hpp"
+#include "util/number_text.hpp"
 
 namespace erapid::workload {
 
@@ -91,21 +92,18 @@ std::vector<PhaseSpec> parse_phase_specs(const std::string& text) {
     const auto pat = traffic::parse_pattern(fields[0]);
     ERAPID_EXPECT(pat.has_value(), "workload.phases: unknown pattern '" + fields[0] + "'");
     p.pattern = *pat;
-    std::size_t pos = 0;
-    const long volume = std::stol(fields[1], &pos);
-    ERAPID_EXPECT(pos == fields[1].size() && volume > 0,
-                  "workload.phases: bad volume '" + fields[1] + "'");
-    p.volume_packets = static_cast<std::uint32_t>(volume);
+    const auto volume = util::parse_unsigned<std::uint32_t>(fields[1]);
+    ERAPID_EXPECT(volume && *volume > 0, "workload.phases: bad volume '" + fields[1] + "'");
+    p.volume_packets = *volume;
     if (fields.size() >= 3) {
-      p.rate = std::stod(fields[2], &pos);
-      ERAPID_EXPECT(pos == fields[2].size() && p.rate >= 0.0,
-                    "workload.phases: bad rate '" + fields[2] + "'");
+      const auto rate = util::parse_real(fields[2]);
+      ERAPID_EXPECT(rate && *rate >= 0.0, "workload.phases: bad rate '" + fields[2] + "'");
+      p.rate = *rate;
     }
     if (fields.size() >= 4) {
-      const long gap = std::stol(fields[3], &pos);
-      ERAPID_EXPECT(pos == fields[3].size() && gap >= 0,
-                    "workload.phases: bad gap '" + fields[3] + "'");
-      p.gap_after = static_cast<CycleDelta>(gap);
+      const auto gap = util::parse_unsigned<CycleDelta>(fields[3]);
+      ERAPID_EXPECT(gap.has_value(), "workload.phases: bad gap '" + fields[3] + "'");
+      p.gap_after = *gap;
     }
     out.push_back(p);
   }
@@ -122,7 +120,7 @@ std::string format_phase_specs(const std::vector<PhaseSpec>& specs) {
     os << traffic::pattern_name(p.pattern) << ':' << p.volume_packets;
     // Trailing default fields are omitted; a gap forces the rate field so
     // the positional grammar stays unambiguous.
-    if (p.rate > 0.0 || p.gap_after > 0) os << ':' << p.rate;
+    if (p.rate > 0.0 || p.gap_after > 0) os << ':' << util::format_number(p.rate);
     if (p.gap_after > 0) os << ':' << p.gap_after;
   }
   return os.str();

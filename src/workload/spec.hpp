@@ -109,7 +109,8 @@ struct WorkloadSpec {
 
 /// Parses the `workload.phases` grammar (comma-separated PhaseSpec list).
 [[nodiscard]] std::vector<PhaseSpec> parse_phase_specs(const std::string& text);
-/// Inverse of parse_phase_specs: format(parse(format(x))) == format(x).
+/// Inverse of parse_phase_specs: parse(format(x)) == x (rates print in
+/// shortest round-trip form).
 [[nodiscard]] std::string format_phase_specs(const std::vector<PhaseSpec>& specs);
 
 /// Parses the `workload.tenant_mix` grammar (comma-separated pattern names).

@@ -129,6 +129,14 @@ class WorkerArgvTest(unittest.TestCase):
         for tok in argv[1:]:
             self.assertIn("=", tok)
 
+    def test_json_bools_use_ini_spelling(self):
+        point = {
+            "pattern": "uniform", "mode": "P-B", "load": 0.3, "seed": 7,
+            "overrides": {"obs.enabled": True, "reconfig.shutdown_idle": False},
+        }
+        argv = campaign.worker_argv("/bin/worker", point)
+        self.assertEqual(argv[-2:], ["obs.enabled=true", "reconfig.shutdown_idle=false"])
+
 
 class MergeTest(unittest.TestCase):
     def test_counts_and_wall_aggregates(self):

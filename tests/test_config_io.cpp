@@ -2,9 +2,16 @@
 // time-series sampler, and the JSON result export.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <map>
+#include <optional>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "sim/options_io.hpp"
 #include "sim/recorder.hpp"
@@ -23,27 +30,19 @@ using erapid::util::Ini;
 
 TEST(Ini, ParsesSectionsAndKeys) {
   const auto ini = Ini::parse_string("[system]\nboards = 8\n\n[workload]\nload = 0.5\n");
-  EXPECT_EQ(ini.get_int("system.boards", 0), 8);
-  EXPECT_DOUBLE_EQ(ini.get_double("workload.load", 0), 0.5);
+  EXPECT_EQ(ini.get("system.boards"), "8");
+  EXPECT_EQ(ini.get("workload.load"), "0.5");
   EXPECT_FALSE(ini.has("system.load"));
 }
 
 TEST(Ini, CommentsAndWhitespaceIgnored) {
   const auto ini = Ini::parse_string("; top\n# also\n[ s ]\n  k =  v  \n");
-  EXPECT_EQ(ini.get_or("s.k", ""), "v");
+  EXPECT_EQ(ini.get("s.k"), "v");
 }
 
 TEST(Ini, SectionlessKeysWork) {
   const auto ini = Ini::parse_string("alpha = 3\n");
-  EXPECT_EQ(ini.get_int("alpha", 0), 3);
-}
-
-TEST(Ini, BoolParsing) {
-  const auto ini = Ini::parse_string("[a]\nx = true\ny = 0\nz = yes\n");
-  EXPECT_TRUE(ini.get_bool("a.x", false));
-  EXPECT_FALSE(ini.get_bool("a.y", true));
-  EXPECT_TRUE(ini.get_bool("a.z", false));
-  EXPECT_TRUE(ini.get_bool("a.missing", true));
+  EXPECT_EQ(ini.get("alpha"), "3");
 }
 
 TEST(Ini, MalformedLinesThrow) {
@@ -60,9 +59,9 @@ TEST(Ini, SaveParsesBack) {
   std::ostringstream os;
   ini.save(os);
   const auto back = Ini::parse_string(os.str());
-  EXPECT_EQ(back.get_or("a.one", ""), "1");
-  EXPECT_EQ(back.get_or("b.two", ""), "2");
-  EXPECT_EQ(back.get_or("plain", ""), "x");
+  EXPECT_EQ(back.get("a.one"), "1");
+  EXPECT_EQ(back.get("b.two"), "2");
+  EXPECT_EQ(back.get("plain"), "x");
   EXPECT_EQ(back.size(), 3u);
 }
 
@@ -610,6 +609,282 @@ TEST(OptionsIo, FileRoundTrip) {
   const auto back = load_options(path);
   EXPECT_DOUBLE_EQ(back.load_fraction, 0.33);
   std::remove(path.c_str());
+}
+
+// ---- strict codecs ---------------------------------------------------------------
+
+// Parses one `key = value` line of `section`; the value is taken verbatim.
+SimOptions parse_one(const std::string& section, const std::string& line) {
+  return options_from_ini(Ini::parse_string("[" + section + "]\n" + line + "\n"));
+}
+
+TEST(OptionsIo, NegativeUnsignedAndCycleValuesThrow) {
+  EXPECT_THROW(parse_one("system", "boards = -1"), erapid::ModelInvariantError);
+  EXPECT_THROW(parse_one("reconfig", "window = -5"), erapid::ModelInvariantError);
+  EXPECT_THROW(parse_one("workload", "seed = -1"), erapid::ModelInvariantError);
+  EXPECT_THROW(parse_one("workload", "warmup_cycles = -0"), erapid::ModelInvariantError);
+  EXPECT_THROW(parse_one("degrade", "cooldown_cycles = -3"), erapid::ModelInvariantError);
+}
+
+TEST(OptionsIo, TrailingGarbageThrows) {
+  EXPECT_THROW(parse_one("system", "boards = 8x"), erapid::ModelInvariantError);
+  EXPECT_THROW(parse_one("workload", "load = 0.5.5"), erapid::ModelInvariantError);
+  EXPECT_THROW(parse_one("reconfig", "window = 2000 cycles"), erapid::ModelInvariantError);
+  // A same-line comment is part of the value, so it is garbage too.
+  EXPECT_THROW(parse_one("reconfig", "ctrl_retry_limit = 3      ; retries"),
+               erapid::ModelInvariantError);
+  EXPECT_THROW(parse_one("reconfig", "mode = P-B ; NP-NB | P-NB | NP-B | P-B"),
+               erapid::ModelInvariantError);
+}
+
+TEST(OptionsIo, NonNumericTextThrows) {
+  EXPECT_THROW(parse_one("workload", "load = abc"), erapid::ModelInvariantError);
+  EXPECT_THROW(parse_one("system", "boards = eight"), erapid::ModelInvariantError);
+  EXPECT_THROW(parse_one("system", "boards = "), erapid::ModelInvariantError);
+  EXPECT_THROW(parse_one("workload", "phases = uniform:abc\nkind = phases"),
+               erapid::ModelInvariantError);
+}
+
+TEST(OptionsIo, NonFiniteRealsThrow) {
+  for (const char* v : {"inf", "-inf", "nan", "1e999"}) {
+    EXPECT_THROW(parse_one("workload", std::string("load = ") + v), erapid::ModelInvariantError)
+        << v;
+    EXPECT_THROW(parse_one("monitor", std::string("power_cap_mw = ") + v),
+                 erapid::ModelInvariantError)
+        << v;
+  }
+}
+
+TEST(OptionsIo, OutOfRangeUnsignedThrows) {
+  EXPECT_THROW(parse_one("system", "boards = 4294967296"), erapid::ModelInvariantError);
+  EXPECT_THROW(parse_one("workload", "seed = 18446744073709551616"),
+               erapid::ModelInvariantError);
+}
+
+TEST(OptionsIo, BoolAcceptsOnlyListedSpellings) {
+  for (const char* v : {"true", "1", "yes", "on"}) {
+    EXPECT_TRUE(parse_one("obs", std::string("trace_events = ") + v).obs.trace_events) << v;
+  }
+  for (const char* v : {"false", "0", "no", "off"}) {
+    EXPECT_FALSE(parse_one("reconfig", std::string("shutdown_idle = ") + v)
+                     .reconfig.mode.dpm.shutdown_idle)
+        << v;
+  }
+  for (const char* v : {"ture", "TRUE", "2", "y", ""}) {
+    EXPECT_THROW(parse_one("reconfig", std::string("shutdown_idle = ") + v),
+                 erapid::ModelInvariantError)
+        << v;
+  }
+}
+
+// ---- lossless round trip ---------------------------------------------------------
+
+TEST(OptionsIo, RoundTripIsLossless) {
+  SimOptions o;
+  o.load_fraction = 0.1234567891;
+  o.obs.monitors.power_cap_mw = 1234567;
+  o.reconfig.mode.dpm.l_min = 1.0 / 3.0;
+  o.seed = std::numeric_limits<std::uint64_t>::max();
+  o.fault.seed = std::numeric_limits<std::uint64_t>::max();
+  o.workload.kind = erapid::workload::WorkloadKind::Phases;
+  o.workload.phases = erapid::workload::parse_phase_specs("uniform:4:0.1234567891:7");
+
+  const auto ini = options_to_ini(o);
+  EXPECT_EQ(ini.get("workload.load"), "0.1234567891");
+  EXPECT_EQ(ini.get("monitor.power_cap_mw"), "1234567");
+  EXPECT_EQ(ini.get("workload.seed"), "18446744073709551615");
+
+  const auto back = options_from_ini(ini);
+  EXPECT_EQ(back.load_fraction, o.load_fraction);
+  EXPECT_EQ(back.obs.monitors.power_cap_mw, o.obs.monitors.power_cap_mw);
+  EXPECT_EQ(back.reconfig.mode.dpm.l_min, o.reconfig.mode.dpm.l_min);
+  EXPECT_EQ(back.seed, o.seed);
+  EXPECT_EQ(back.fault.seed, o.fault.seed);
+  EXPECT_EQ(back.workload, o.workload);
+  std::ostringstream first, second;
+  ini.save(first);
+  options_to_ini(back).save(second);
+  EXPECT_EQ(first.str(), second.str());
+}
+
+// The serialized default configuration, byte for byte. Reals print in
+// shortest round-trip form; every default prints as it did under the
+// stream formatting this surface used before.
+TEST(OptionsIo, DefaultSerializationIsPinned) {
+  static const char* const kDefault = R"([des]
+queue = heap
+
+[fault]
+ctrl_drop_prob = 0
+seed = 1
+
+[link]
+arq_backoff_cycles = 32
+arq_nak_cycles = 8
+arq_retry_limit = 4
+
+[monitor]
+max_recovery_cycles = 0
+p99_latency_ceiling = 0
+power_cap_mw = 0
+quiescence_deadline = 0
+throughput_floor = 0
+workload_deadline = 0
+
+[obs]
+counter_interval = 500
+enabled = false
+flight_recorder = flight_recorder.json
+flight_recorder_depth = 0
+monitor_fail_fast = false
+telemetry_ewma_alpha = 0.3
+telemetry_phase_alpha = 0.2
+telemetry_phase_slack = 0.05
+telemetry_phase_threshold = 0.25
+telemetry_top_k = 8
+telemetry_window = 2000
+trace_events = false
+trace_format = chrome
+
+[reconfig]
+b_max = 0.3
+ctrl_retry_limit = 3
+dbr_b_max = 0.3
+dbr_b_min = 0
+dpm_strategy = threshold
+ewma_alpha = 0.5
+hysteresis_windows = 2
+l_max = 0.9
+l_min = 0.7
+lc_hop_cycles = 4
+max_lanes_per_flow = 0
+mode = NP-NB
+rc_watchdog_cycles = 128
+ring_hop_cycles = 16
+shutdown_idle = true
+window = 2000
+
+[system]
+boards = 8
+channel_width_bits = 16
+clusters = 1
+credit_delay = 1
+fiber_delay_cycles = 8
+flit_bits = 64
+injection_queue_packets = 64
+nodes_per_board = 8
+num_vcs = 4
+packet_flits = 8
+rx_queue_packets = 8
+tx_feed_cycles_per_flit = 1
+tx_queue_packets = 16
+vc_buffer_flits = 8
+
+[workload]
+drain_limit = 150000
+episodes = 2
+gap_cycles = 256
+horizon_cycles = 200000
+hotspot_fraction = 0.2
+hotspot_node = 0
+kind = bernoulli
+load = 0.5
+measure_cycles = 30000
+pattern = uniform
+phase_rate = 0.9
+seed = 1
+session_cycles = 4000
+session_gap_mean = 2000
+tenant_load = 0.25
+tenant_mix = uniform
+tenants = 4
+volume_packets = 16
+warmup_cycles = 20000
+)";
+  std::ostringstream os;
+  options_to_ini(SimOptions{}).save(os);
+  EXPECT_EQ(os.str(), kDefault);
+}
+
+TEST(OptionsIo, EveryKeyIsUniqueAndItsDefaultParsesBack) {
+  std::map<std::string, int> seen;
+  for (const auto& key : erapid::sim::option_keys()) {
+    EXPECT_EQ(++seen[key.name], 1) << key.name;
+    if (key.default_value.empty()) continue;  // "off": the key is simply absent
+    const auto dot = key.name.find('.');
+    const auto o = parse_one(key.name.substr(0, dot),
+                             key.name.substr(dot + 1) + " = " + key.default_value);
+    std::ostringstream got, want;
+    options_to_ini(o).save(got);
+    options_to_ini(SimOptions{}).save(want);
+    EXPECT_EQ(got.str(), want.str()) << key.name;
+  }
+}
+
+// ---- README key reference ---------------------------------------------------------
+
+std::vector<std::string> readme_lines() {
+  std::ifstream in(ERAPID_README_PATH);
+  EXPECT_TRUE(in.good()) << ERAPID_README_PATH;
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+// "| `section.key` | default | meaning |" → {key, default cell}; nullopt
+// for any other line (the fault grammar table's rows are not keys).
+std::optional<std::pair<std::string, std::string>> readme_key_row(const std::string& line) {
+  if (line.rfind("| `", 0) != 0) return std::nullopt;
+  const auto key_end = line.find("` | ", 3);
+  if (key_end == std::string::npos) return std::nullopt;
+  const std::string key = line.substr(3, key_end - 3);
+  const bool key_like =
+      key.find('.') != std::string::npos &&
+      key.find_first_not_of("abcdefghijklmnopqrstuvwxyz0123456789_.") == std::string::npos;
+  if (!key_like) return std::nullopt;
+  const auto cell = key_end + 4;
+  return std::pair(key, line.substr(cell, line.find(" |", cell) - cell));
+}
+
+// Every `| `section.key` | default | meaning |` row names a table key, every
+// table key has a row, and a backticked default is the serialized default
+// (a non-backticked one such as *(unset)* means the key is off by default).
+TEST(OptionsIo, ReadmeKeyReferenceMatchesKeyTable) {
+  std::map<std::string, std::string> defaults;
+  for (const auto& key : erapid::sim::option_keys()) defaults[key.name] = key.default_value;
+
+  std::map<std::string, std::string> documented;
+  for (const auto& line : readme_lines()) {
+    const auto row = readme_key_row(line);
+    if (!row) continue;
+    const auto& [key, cell] = *row;
+    ASSERT_TRUE(defaults.count(key)) << "README documents unknown key " << key;
+    const bool ticked = cell.size() > 1 && cell[0] == '`';
+    documented[key] = ticked ? cell.substr(1, cell.find('`', 1) - 1) : "";
+    EXPECT_EQ(documented[key], defaults[key]) << key << " default in README: " << cell;
+  }
+  for (const auto& [key, def] : defaults) {
+    EXPECT_TRUE(documented.count(key)) << key << " has no README row";
+  }
+}
+
+TEST(OptionsIo, ReadmeIniExamplesLoad) {
+  int blocks = 0;
+  std::string block;
+  bool in_block = false;
+  for (const auto& line : readme_lines()) {
+    if (!in_block && line == "```ini") {
+      in_block = true;
+      block.clear();
+    } else if (in_block && line == "```") {
+      in_block = false;
+      ++blocks;
+      EXPECT_NO_THROW((void)options_from_ini(Ini::parse_string(block))) << block;
+    } else if (in_block) {
+      block += line + "\n";
+    }
+  }
+  EXPECT_GE(blocks, 1);
 }
 
 // ---- Recorder ----------------------------------------------------------------

@@ -12,10 +12,15 @@
 //    parse → format → parse unchanged; random garbage and single-character
 //    mutations must either parse or throw cleanly (never crash/UB — the
 //    sanitizer CI job runs this under ASan/UBSan).
+//  * Config-surface fuzz: garbage and mutated values for every key of the
+//    options table must parse and round-trip or throw the contract error,
+//    and every malformed scalar spelling is rejected for every key of its
+//    kind.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <iomanip>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -343,9 +348,12 @@ TEST(DegradeIniFuzz, ParseFormatParseIsIdentity) {
   }
 }
 
-// Any degrade.* input either parses (and then round-trips) or throws the
-// contract error — never crashes, never silently mis-parses.
-void expect_degrade_parse_is_total(const std::string& text) {
+// ---- config-surface fuzz over the whole key table -----------------------------------
+
+// Any input either parses (and then round-trips) or throws the contract
+// error — never crashes, never escapes as another exception type, never
+// silently mis-parses.
+void expect_options_parse_is_total(const std::string& text) {
   using erapid::sim::options_from_ini;
   using erapid::sim::options_to_ini;
   try {
@@ -359,24 +367,75 @@ void expect_degrade_parse_is_total(const std::string& text) {
   }
 }
 
-TEST(DegradeIniFuzz, GarbageValuesNeverCrash) {
-  static const char kCharset[] = "abcdefghijklmnopqrstuvwxyz0123456789.-+e ";
-  static const char* kKeys[] = {
-      "power_cap", "throughput_floor", "p99_ceiling", "recovery_deadline",
-      "cooldown_cycles", "recover_margin", "recover_cycles", "shed_step",
-      "max_shed_fraction"};
-  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
-    Rng rng(seed * 739);
-    std::string value;
-    const auto len = 1 + rng.next_below(12);
-    for (std::uint64_t i = 0; i < len; ++i) {
-      value += kCharset[rng.next_below(sizeof(kCharset) - 1)];
+// `[section]\nname = value\n` for a "section.name" key, after a preamble
+// that arms the power-cap check so degrade.* policies can parse at all.
+std::string one_key_ini(const std::string& key, const std::string& value) {
+  const auto dot = key.find('.');
+  return "[obs]\nenabled = true\n[monitor]\npower_cap_mw = 100\n[" + key.substr(0, dot) +
+         "]\n" + key.substr(dot + 1) + " = " + value + "\n";
+}
+
+// Every table key gets random garbage and single-character mutations of
+// a valid value: its default, or for keys that are off by default a
+// sample of their grammar.
+TEST(OptionsIniFuzz, EveryKeyParseIsTotal) {
+  static const char kCharset[] = "abcdefghijklmnopqrstuvwxyz0123456789.-+e :,@";
+  const std::map<std::string, std::string> kOffSamples = {
+      {"fault.events", "lane_fail@5000:d2:w1:r9000 bit_error@4500:d2:w2:p0.0005:6000"},
+      {"workload.phases", "transpose:32:0.8:512,uniform:4"},
+      {"degrade.power_cap", "shed"},
+  };
+  const auto keys = erapid::sim::option_keys();
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    Rng rng(k * 739 + 1);
+    const auto sample = kOffSamples.find(keys[k].name);
+    const std::string valid =
+        sample != kOffSamples.end() ? sample->second : keys[k].default_value;
+    for (int trial = 0; trial < 60; ++trial) {
+      std::string value = valid;
+      if (value.empty() || trial % 3 == 0) {
+        value.clear();
+        const auto len = 1 + rng.next_below(12);
+        for (std::uint64_t i = 0; i < len; ++i) {
+          value += kCharset[rng.next_below(sizeof(kCharset) - 1)];
+        }
+      } else {
+        const auto at = rng.next_below(value.size() + 1);
+        const char c = kCharset[rng.next_below(sizeof(kCharset) - 1)];
+        switch (rng.next_below(3)) {
+          case 0: value.insert(value.begin() + static_cast<std::ptrdiff_t>(at), c); break;
+          case 1: if (at < value.size()) value[at] = c; break;
+          default: if (at < value.size()) value.erase(at, 1); break;
+        }
+      }
+      expect_options_parse_is_total(one_key_ini(keys[k].name, value));
     }
-    std::ostringstream os;
-    os << "[obs]\nenabled = true\n[monitor]\npower_cap_mw = 100\n[degrade]\n"
-       << kKeys[rng.next_below(9)] << " = " << value << "\n";
-    expect_degrade_parse_is_total(os.str());
   }
+}
+
+// Per-codec rejection cases, generated from the table: every key of a
+// scalar kind rejects every malformed spelling of that kind.
+TEST(OptionsIniFuzz, MalformedScalarsRejectedForEveryKey) {
+  using erapid::sim::ValueKind;
+  const std::map<ValueKind, std::vector<std::string>> kMalformed = {
+      {ValueKind::Unsigned,
+       {"-1", "8x", "abc", "1.5", "1e3", "+1", "", "99999999999999999999"}},
+      {ValueKind::Real, {"abc", "0.5.5", "1x", "inf", "-inf", "nan", "1e999", ""}},
+      {ValueKind::Bool, {"ture", "TRUE", "2", "y", "on off", ""}},
+  };
+  int cases = 0;
+  for (const auto& key : erapid::sim::option_keys()) {
+    const auto bad = kMalformed.find(key.kind);
+    if (bad == kMalformed.end()) continue;
+    for (const auto& value : bad->second) {
+      ++cases;
+      EXPECT_THROW((void)erapid::sim::options_from_ini(
+                       erapid::util::Ini::parse_string(one_key_ini(key.name, value))),
+                   erapid::ModelInvariantError)
+          << key.name << " = '" << value << "'";
+    }
+  }
+  EXPECT_GT(cases, 0);
 }
 
 TEST(DegradeIniFuzz, CrossFieldInvalidConfigsAreRejected) {

@@ -100,7 +100,10 @@ def worker_argv(binary, point, config=None, no_wall=False):
     if no_wall:
         argv.append("--no-wall=1")
     for key in sorted(point["overrides"]):
-        argv.append(f"{key}={point['overrides'][key]}")
+        value = point["overrides"][key]
+        if isinstance(value, bool):  # JSON true/false, not Python's True/False
+            value = "true" if value else "false"
+        argv.append(f"{key}={value}")
     return argv
 
 
