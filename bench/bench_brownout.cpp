@@ -8,20 +8,15 @@
 // so the table reads as throughput retention under progressively tighter
 // caps alongside how deep the ladder had to go to hold each one.
 //
-// Setting ERAPID_BENCH_JSON=<dir> writes BENCH_brownout.json there
-// (schema erapid-bench-1); ERAPID_GIT_REV stamps the producing revision.
-#include <benchmark/benchmark.h>
-
-#include <chrono>
-#include <cstdlib>
-#include <fstream>
+// Points go through the shared point store (bench_common.hpp), keyed with
+// the cap as cap_mw. Setting ERAPID_BENCH_JSON=<dir> writes
+// BENCH_brownout.json there (schema erapid-bench-1); ERAPID_GIT_REV stamps
+// the producing revision.
 #include <iostream>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "sim/simulation.hpp"
-#include "util/table.hpp"
+#include "bench_common.hpp"
 
 namespace {
 
@@ -68,33 +63,20 @@ sim::SimOptions capped_options(double cap, double load) {
   return o;
 }
 
-struct Point {
-  sim::SimResult result;
-  double wall_ms = 0.0;
-};
-
-std::map<std::pair<double, double>, Point>& store() {
-  static std::map<std::pair<double, double>, Point> s;
-  return s;
-}
-
 void run_point(benchmark::State& state, double cap, double load) {
-  sim::SimResult result;
-  double wall_ms = 0.0;
-  for (auto _ : state) {
-    const auto t0 = std::chrono::steady_clock::now();
-    sim::Simulation s(capped_options(cap, load));
-    result = s.run();
-    wall_ms = std::chrono::duration<double, std::milli>(
-                  std::chrono::steady_clock::now() - t0)
-                  .count();
-    benchmark::DoNotOptimize(&result);
-  }
+  const sim::SimResult& result = bench::store().run(state, capped_options(cap, load), cap);
   state.counters["thru_xNc"] = result.accepted_fraction;
   state.counters["power_mW"] = result.power_avg_mw;
   state.counters["steps_down"] = static_cast<double>(result.resilience.steps_down);
   state.counters["lanes_shed"] = static_cast<double>(result.resilience.lanes_shed);
-  store()[{cap, load}] = Point{result, wall_ms};
+}
+
+/// The recorded result at (cap, load), or nullptr if that point did not run.
+const sim::SimResult* point_at(double cap, double load) {
+  for (const auto& [key, point] : bench::store().points()) {
+    if (key.cap_mw == cap && key.load == load) return &point.result;
+  }
+  return nullptr;
 }
 
 std::string cap_label(double cap) {
@@ -103,8 +85,6 @@ std::string cap_label(double cap) {
 }
 
 void print_summary() {
-  if (store().empty()) return;
-
   std::cout << "\n== Brownout (uniform, P-B): throughput under a power cap ==\n";
   {
     std::vector<std::string> header = {"load(xN_c)"};
@@ -115,12 +95,12 @@ void print_summary() {
       std::vector<std::string> row = {util::TablePrinter::fixed(load, 1)};
       double base_thru = 0.0, worst = 0.0;
       for (double c : caps()) {
-        const auto it = store().find({c, load});
-        if (it == store().end()) {
+        const sim::SimResult* r = point_at(c, load);
+        if (r == nullptr) {
           row.push_back("-");
           continue;
         }
-        const double thru = it->second.result.accepted_fraction;
+        const double thru = r->accepted_fraction;
         row.push_back(util::TablePrinter::fixed(thru, 3));
         if (c <= 0.0) base_thru = thru;
         worst = thru;
@@ -138,68 +118,16 @@ void print_summary() {
   for (double load : loads()) {
     for (double c : caps()) {
       if (c <= 0.0) continue;
-      const auto it = store().find({c, load});
-      if (it == store().end()) continue;
-      const auto& r = it->second.result;
+      const sim::SimResult* r = point_at(c, load);
+      if (r == nullptr) continue;
       d.row_values(util::TablePrinter::fixed(load, 1), cap_label(c),
-                   r.resilience.peak_stage, r.resilience.steps_down,
-                   r.resilience.lanes_slept, r.resilience.lanes_shed,
-                   util::TablePrinter::fixed(r.power_avg_mw, 2),
-                   r.resilience.suppressed_violations);
+                   r->resilience.peak_stage, r->resilience.steps_down,
+                   r->resilience.lanes_slept, r->resilience.lanes_shed,
+                   util::TablePrinter::fixed(r->power_avg_mw, 2),
+                   r->resilience.suppressed_violations);
     }
   }
   d.print(std::cout);
-}
-
-/// Writes the BENCH_brownout.json artifact (schema erapid-bench-1). Points
-/// carry the standard figure-bench metrics plus the resilience block that
-/// compare_runs.py gates: ladder depth, lane disposition, and the
-/// suppressed-violation tally (absence of the block = degradation-free).
-void write_json(const std::string& dir) {
-  const char* rev_env = std::getenv("ERAPID_GIT_REV");
-  const std::string rev = rev_env != nullptr ? rev_env : "unknown";
-  const std::string path = dir + "/BENCH_brownout.json";
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "bench: cannot open " << path << " for writing\n";
-    return;
-  }
-  out.precision(15);
-  out << "{\n"
-      << "  \"schema\": \"erapid-bench-1\",\n"
-      << "  \"bench\": \"Brownout ladder\",\n"
-      << "  \"pattern\": \"uniform\",\n"
-      << "  \"git_rev\": \"" << rev << "\",\n"
-      << "  \"points\": [";
-  bool first = true;
-  for (const auto& [key, p] : store()) {
-    const auto& r = p.result;
-    out << (first ? "\n" : ",\n") << "    {"
-        << "\"mode\": \"P-B\", "
-        << "\"cap_mw\": " << key.first << ", "
-        << "\"load\": " << key.second << ", "
-        << "\"throughput_xNc\": " << r.accepted_fraction << ", "
-        << "\"latency_avg_cycles\": " << r.latency_avg << ", "
-        << "\"latency_p99_cycles\": " << r.latency_p99 << ", "
-        << "\"power_avg_mw\": " << r.power_avg_mw << ", "
-        << "\"active_power_avg_mw\": " << r.active_power_avg_mw << ", "
-        << "\"drained\": " << (r.drained ? "true" : "false");
-    if (r.resilience.active) {
-      out << ", \"resilience\": {"
-          << "\"engaged\": " << (r.resilience.engaged ? "true" : "false") << ", "
-          << "\"peak_stage\": \"" << r.resilience.peak_stage << "\", "
-          << "\"steps_down\": " << r.resilience.steps_down << ", "
-          << "\"steps_up\": " << r.resilience.steps_up << ", "
-          << "\"lanes_shed\": " << r.resilience.lanes_shed << ", "
-          << "\"lanes_slept\": " << r.resilience.lanes_slept << ", "
-          << "\"suppressed_violations\": " << r.resilience.suppressed_violations
-          << "}";
-    }
-    out << ", \"wall_ms\": " << p.wall_ms << "}";
-    first = false;
-  }
-  out << "\n  ]\n}\n";
-  std::cout << "\nbench json: wrote " << path << "\n";
 }
 
 }  // namespace
@@ -210,18 +138,13 @@ int main(int argc, char** argv) {
     for (double load : loads()) {
       const std::string name = "brownout/cap=" + cap_label(c) +
                                "/load=" + util::TablePrinter::fixed(load, 1);
-      benchmark::RegisterBenchmark(
-          name.c_str(), [c, load](benchmark::State& st) { run_point(st, c, load); })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
+      bench::register_point(name, [c, load](benchmark::State& st) { run_point(st, c, load); });
     }
   }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
+  if (bench::store().points().empty()) return 0;
   print_summary();
-  if (const char* json_dir = std::getenv("ERAPID_BENCH_JSON");
-      json_dir != nullptr && *json_dir != '\0') {
-    write_json(json_dir);
-  }
+  bench::store().write_json("brownout", "Brownout ladder", "uniform");
   return 0;
 }

@@ -10,7 +10,6 @@
 #include "router/arbiter.hpp"
 #include "router/injector.hpp"
 #include "router/router.hpp"
-#include "sim/simulation.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -141,24 +140,6 @@ void BM_dbr_allocator(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_dbr_allocator);
-
-// End-to-end: simulated cycles per wall second for the full 64-node system.
-void BM_full_system_cycles(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::SimOptions o;  // R(1,8,8)
-    o.load_fraction = 0.5;
-    o.warmup_cycles = 2000;
-    o.measure_cycles = 4000;
-    o.drain_limit = 20000;
-    o.reconfig.mode = reconfig::NetworkMode::p_b();
-    sim::Simulation s(o);
-    const auto r = s.run();
-    benchmark::DoNotOptimize(&r);
-    state.SetItemsProcessed(state.items_processed() +
-                            static_cast<std::int64_t>(r.end_cycle));
-  }
-}
-BENCHMARK(BM_full_system_cycles)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

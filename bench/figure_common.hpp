@@ -3,32 +3,16 @@
 // Each Fig. 5 / Fig. 6 panel in the paper plots one metric (throughput,
 // latency, power) against offered load 0.1..0.9 × N_c for the four network
 // configurations NP-NB / P-NB / NP-B / P-B on one traffic pattern. A
-// figure bench registers one google-benchmark per (mode, load) point
-// (Iterations(1): the simulation *is* the measured unit of work), collects
-// the SimResults, and finally prints the three panels as aligned tables —
-// the same series the paper reports.
-// Setting ERAPID_BENCH_JSON=<dir> additionally writes a machine-readable
-// BENCH_<slug>.json artifact there (schema erapid-bench-1): one record per
-// (mode, load) point with throughput, latency, power/energy and the
-// wall-clock runtime of the whole point measured here in the harness —
-// never inside the simulator, which must stay wall-clock free. CI uploads
-// these artifacts; ERAPID_GIT_REV stamps the producing revision.
+// figure bench runs one point per (mode, load) through the shared point
+// store (bench_common.hpp) and finally prints the panels as aligned
+// tables — the same series the paper reports. ERAPID_BENCH_JSON=<dir>
+// writes the BENCH_<slug>.json artifact (schema erapid-bench-1).
 #pragma once
 
-#include <benchmark/benchmark.h>
-
-#include <cctype>
-#include <chrono>
-#include <cstdlib>
-#include <fstream>
-#include <iostream>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "des/event_queue.hpp"
-#include "sim/simulation.hpp"
-#include "util/table.hpp"
+#include "bench_common.hpp"
 
 namespace erapid::bench {
 
@@ -36,169 +20,6 @@ inline const std::vector<double>& default_loads() {
   static const std::vector<double> loads = {0.1, 0.2, 0.3, 0.4, 0.5,
                                             0.6, 0.7, 0.8, 0.9};
   return loads;
-}
-
-inline std::vector<reconfig::NetworkMode> all_modes() {
-  return {reconfig::NetworkMode::np_nb(), reconfig::NetworkMode::p_nb(),
-          reconfig::NetworkMode::np_b(), reconfig::NetworkMode::p_b()};
-}
-
-/// Collects results across benchmark invocations of one binary.
-class FigureStore {
- public:
-  void put(const std::string& mode, double load, const sim::SimResult& r,
-           double wall_ms = 0.0) {
-    results_[{mode, load}] = r;
-    wall_ms_[{mode, load}] = wall_ms;
-  }
-
-  /// Records the run configuration stamped into the JSON artifact so it is
-  /// self-describing: which DES queue produced it and which obs features
-  /// were live. Every point of one bench runs the same configuration, so
-  /// the last stamp wins. compare_runs.py never gates on these fields.
-  void stamp_provenance(const sim::SimOptions& o) {
-    des_queue_ = des::queue_kind_name(o.des_queue);
-    obs_enabled_ = o.obs.enabled;
-    obs_trace_ = o.obs.enabled && !o.obs.trace_path.empty();
-    obs_monitors_ = o.obs.enabled && o.obs.monitors.any();
-    obs_telemetry_ = o.obs.telemetry_on();
-    obs_flight_ = o.obs.flight_recorder_on();
-  }
-
-  /// Prints the paper's three panels (throughput, latency, power).
-  void print(const std::string& figure, const std::string& pattern) const {
-    if (results_.empty()) return;
-    std::vector<std::string> modes;
-    std::vector<double> loads;
-    for (const auto& [key, r] : results_) {
-      if (std::find(modes.begin(), modes.end(), key.first) == modes.end())
-        modes.push_back(key.first);
-      if (std::find(loads.begin(), loads.end(), key.second) == loads.end())
-        loads.push_back(key.second);
-    }
-    std::sort(loads.begin(), loads.end());
-    // Keep the canonical mode order.
-    std::vector<std::string> order = {"NP-NB", "P-NB", "NP-B", "P-B"};
-    std::vector<std::string> present;
-    for (const auto& m : order) {
-      if (std::find(modes.begin(), modes.end(), m) != modes.end()) present.push_back(m);
-    }
-
-    auto panel = [&](const std::string& title, auto metric) {
-      std::cout << "\n== " << figure << " (" << pattern << "): " << title << " ==\n";
-      std::vector<std::string> header = {"load(xN_c)"};
-      for (const auto& m : present) header.push_back(m);
-      util::TablePrinter t(header);
-      for (double load : loads) {
-        std::vector<std::string> row = {util::TablePrinter::fixed(load, 1)};
-        for (const auto& m : present) {
-          const auto it = results_.find({m, load});
-          row.push_back(it == results_.end() ? "-"
-                                             : util::TablePrinter::fixed(metric(it->second), 3));
-        }
-        t.row(std::move(row));
-      }
-      t.print(std::cout);
-    };
-
-    panel("accepted throughput (fraction of N_c)",
-          [](const sim::SimResult& r) { return r.accepted_fraction; });
-    panel("average latency (cycles)",
-          [](const sim::SimResult& r) { return r.latency_avg; });
-    panel("active optical power (mW) — the paper's power panel",
-          [](const sim::SimResult& r) { return r.active_power_avg_mw; });
-    panel("total optical power incl. lit-idle lanes (mW)",
-          [](const sim::SimResult& r) { return r.power_avg_mw; });
-  }
-
-  [[nodiscard]] const sim::SimResult* find(const std::string& mode, double load) const {
-    const auto it = results_.find({mode, load});
-    return it == results_.end() ? nullptr : &it->second;
-  }
-
-  [[nodiscard]] bool empty() const { return results_.empty(); }
-
-  /// Writes the BENCH_<slug>.json artifact (schema erapid-bench-1) into
-  /// `dir`. `slug` must already be filename-safe. Returns the path.
-  std::string write_json(const std::string& dir, const std::string& slug,
-                         const std::string& figure, const std::string& pattern) const {
-    const char* rev_env = std::getenv("ERAPID_GIT_REV");
-    const std::string rev = rev_env != nullptr ? rev_env : "unknown";
-    const std::string path = dir + "/BENCH_" + slug + ".json";
-    std::ofstream out(path);
-    if (!out) {
-      std::cerr << "bench: cannot open " << path << " for writing\n";
-      return {};
-    }
-    out.precision(15);
-    out << "{\n"
-        << "  \"schema\": \"erapid-bench-1\",\n"
-        << "  \"bench\": \"" << figure << "\",\n"
-        << "  \"pattern\": \"" << pattern << "\",\n"
-        << "  \"git_rev\": \"" << rev << "\",\n"
-        << "  \"des_queue\": \"" << des_queue_ << "\",\n"
-        << "  \"obs\": {\"enabled\": " << (obs_enabled_ ? "true" : "false")
-        << ", \"trace\": " << (obs_trace_ ? "true" : "false")
-        << ", \"monitors\": " << (obs_monitors_ ? "true" : "false")
-        << ", \"telemetry\": " << (obs_telemetry_ ? "true" : "false")
-        << ", \"flight_recorder\": " << (obs_flight_ ? "true" : "false") << "},\n"
-        << "  \"points\": [";
-    bool first = true;
-    for (const auto& [key, r] : results_) {
-      const auto wall_it = wall_ms_.find(key);
-      const double wall = wall_it == wall_ms_.end() ? 0.0 : wall_it->second;
-      out << (first ? "\n" : ",\n") << "    {"
-          << "\"mode\": \"" << key.first << "\", "
-          << "\"load\": " << key.second << ", "
-          << "\"throughput_xNc\": " << r.accepted_fraction << ", "
-          << "\"latency_avg_cycles\": " << r.latency_avg << ", "
-          << "\"latency_p99_cycles\": " << r.latency_p99 << ", "
-          << "\"power_avg_mw\": " << r.power_avg_mw << ", "
-          << "\"active_power_avg_mw\": " << r.active_power_avg_mw << ", "
-          << "\"energy_per_packet_mw_cycles\": "
-          << (r.packets_delivered_measured > 0
-                  ? r.power_avg_mw * static_cast<double>(r.end_cycle) /
-                        static_cast<double>(r.packets_delivered_measured)
-                  : 0.0)
-          << ", "
-          << "\"drained\": " << (r.drained ? "true" : "false");
-      // Monitor verdicts stamp the artifact only when the point ran with
-      // monitors configured, keeping monitor-free artifacts unchanged.
-      if (!r.monitors.empty()) {
-        out << ", \"monitors_ok\": " << (r.monitors_ok() ? "true" : "false")
-            << ", \"monitor_violations\": " << r.monitor_violations;
-      }
-      out << ", \"wall_ms\": " << wall << "}";
-      first = false;
-    }
-    // Aggregate wall time: sum is total serial cost, max is the critical
-    // path — what a perfectly parallel campaign of these points would cost.
-    double wall_sum = 0.0;
-    double wall_max = 0.0;
-    for (const auto& [key, wall] : wall_ms_) {
-      wall_sum += wall;
-      if (wall > wall_max) wall_max = wall;
-    }
-    out << "\n  ],\n"
-        << "  \"wall_ms_sum\": " << wall_sum << ",\n"
-        << "  \"wall_ms_max\": " << wall_max << "\n}\n";
-    return path;
-  }
-
- private:
-  std::map<std::pair<std::string, double>, sim::SimResult> results_;
-  std::map<std::pair<std::string, double>, double> wall_ms_;
-  std::string des_queue_ = "heap";
-  bool obs_enabled_ = false;
-  bool obs_trace_ = false;
-  bool obs_monitors_ = false;
-  bool obs_telemetry_ = false;
-  bool obs_flight_ = false;
-};
-
-inline FigureStore& store() {
-  static FigureStore s;
-  return s;
 }
 
 /// Baseline options used by every figure bench: the paper's 64-node
@@ -212,77 +33,55 @@ inline sim::SimOptions figure_options() {
   return o;
 }
 
-/// Runs one (mode, load) point and records it. Wall time is measured here,
-/// around the whole simulation — model code itself never reads a wall clock.
+/// Runs one (mode, load) point and records it.
 inline void run_point(benchmark::State& state, traffic::PatternKind pattern,
                       const reconfig::NetworkMode& mode, double load) {
-  sim::SimResult result;
-  double wall_ms = 0.0;
-  for (auto _ : state) {
-    const auto wall_start = std::chrono::steady_clock::now();
-    sim::SimOptions o = figure_options();
-    o.pattern = pattern;
-    o.load_fraction = load;
-    o.reconfig.mode = mode;
-    store().stamp_provenance(o);
-    sim::Simulation s(o);
-    result = s.run();
-    benchmark::DoNotOptimize(&result);  // lvalue-double DoNotOptimize miscompiles on this gcc
-    wall_ms = std::chrono::duration<double, std::milli>(
-                  std::chrono::steady_clock::now() - wall_start)
-                  .count();
-  }
+  sim::SimOptions o = figure_options();
+  o.pattern = pattern;
+  o.load_fraction = load;
+  o.reconfig.mode = mode;
+  const sim::SimResult& result = store().run(state, o);
   state.counters["thru_xNc"] = result.accepted_fraction;
   state.counters["lat_cyc"] = result.latency_avg;
   state.counters["power_mW"] = result.power_avg_mw;
-  store().put(std::string(mode.name), load, result, wall_ms);
 }
 
-/// Registers the full 4-mode × 9-load sweep for one pattern.
-inline void register_figure(traffic::PatternKind pattern) {
-  for (const auto& mode : all_modes()) {
-    for (double load : default_loads()) {
-      const std::string name = std::string(traffic::pattern_name(pattern)) + "/" +
-                               std::string(mode.name) + "/load=" +
-                               util::TablePrinter::fixed(load, 1);
-      benchmark::RegisterBenchmark(
-          name.c_str(),
-          [pattern, mode, load](benchmark::State& st) { run_point(st, pattern, mode, load); })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
-    }
-  }
+/// Prints the paper's panels (throughput, latency, power).
+inline void print_figure(const std::string& figure, const std::string& pattern) {
+  const auto panel = [&](const std::string& title, auto metric) {
+    store().print_panel(
+        figure + " (" + pattern + "): " + title, "load(xN_c)",
+        [](const sim::PointKey& k) { return util::TablePrinter::fixed(k.load, 1); }, metric);
+  };
+  panel("accepted throughput (fraction of N_c)",
+        [](const sim::SimResult& r) { return r.accepted_fraction; });
+  panel("average latency (cycles)", [](const sim::SimResult& r) { return r.latency_avg; });
+  panel("active optical power (mW) — the paper's power panel",
+        [](const sim::SimResult& r) { return r.active_power_avg_mw; });
+  panel("total optical power incl. lit-idle lanes (mW)",
+        [](const sim::SimResult& r) { return r.power_avg_mw; });
 }
 
-/// Filename-safe slug for the JSON artifact name.
-inline std::string bench_slug(const std::string& figure) {
-  std::string slug;
-  for (char c : figure) {
-    if (std::isalnum(static_cast<unsigned char>(c)) != 0) {
-      slug += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    } else if (!slug.empty() && slug.back() != '_') {
-      slug += '_';
-    }
-  }
-  while (!slug.empty() && slug.back() == '_') slug.pop_back();
-  return slug;
-}
-
-/// Standard main body for a figure bench.
+/// Standard main body for a figure bench: the full 4-mode × 9-load sweep
+/// for one pattern.
 inline int figure_main(int argc, char** argv, traffic::PatternKind pattern,
                        const std::string& figure) {
   benchmark::Initialize(&argc, argv);
-  register_figure(pattern);
+  const std::string pattern_str(traffic::pattern_name(pattern));
+  for (const auto& mode : all_modes()) {
+    for (double load : default_loads()) {
+      register_point(pattern_str + "/" + std::string(mode.name) +
+                         "/load=" + util::TablePrinter::fixed(load, 1),
+                     [pattern, mode, load](benchmark::State& st) {
+                       run_point(st, pattern, mode, load);
+                     });
+    }
+  }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  const std::string pattern_str(traffic::pattern_name(pattern));
-  store().print(figure, pattern_str);
-  if (const char* json_dir = std::getenv("ERAPID_BENCH_JSON");
-      json_dir != nullptr && !store().empty()) {
-    const auto path =
-        store().write_json(json_dir, bench_slug(figure), figure, pattern_str);
-    if (!path.empty()) std::cout << "\nbench JSON written to " << path << "\n";
-  }
+  if (store().points().empty()) return 0;
+  print_figure(figure, pattern_str);
+  store().write_json(bench_slug(figure), figure, pattern_str);
   return 0;
 }
 

@@ -6,11 +6,10 @@
 // network configurations NP-NB / P-NB / NP-B / P-B. Every point is one
 // completion-bounded run: the schedule injects a fixed byte volume and the
 // simulation ends when the last packet resolves, so the headline metric is
-// the makespan (completion cycle), not a steady-state throughput. Each
-// point still carries the standard erapid-bench-1 metrics so
-// tools/obs/compare_runs.py gates the committed artifacts unmodified;
-// points are keyed (pattern = workload kind, mode, load = phase_rate,
-// seed).
+// the makespan (completion cycle), not a steady-state throughput. Points
+// go through the shared point store (bench_common.hpp), keyed (pattern =
+// workload kind, mode, load = phase_rate, seed), and their erapid-bench-1
+// records carry the completion fields compare_runs.py gates.
 //
 // ERAPID_BENCH_JSON=<dir> writes BENCH_<slug>.json there; ERAPID_GIT_REV
 // stamps the producing revision; ERAPID_BENCH_TINY=1 shrinks the volume
@@ -18,19 +17,12 @@
 // full-size ones — CI compares tiny-vs-tiny self-runs only).
 #pragma once
 
-#include <benchmark/benchmark.h>
-
-#include <chrono>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "figure_common.hpp"  // all_modes(), bench_slug()
-#include "sim/simulation.hpp"
-#include "util/table.hpp"
+#include "bench_common.hpp"
 #include "workload/spec.hpp"
 
 namespace erapid::bench {
@@ -58,241 +50,61 @@ inline sim::SimOptions workload_bench_options(workload::WorkloadKind kind) {
   return o;
 }
 
-/// Collects completion-bounded results across one binary's invocations,
-/// keyed (workload kind, mode). std::map ordering keeps the JSON artifact
-/// deterministic.
-class WorkloadStore {
- public:
-  void put(const std::string& kind, const std::string& mode, double load,
-           std::uint64_t seed, const sim::SimResult& r, double wall_ms) {
-    results_[{kind, mode}] = r;
-    wall_ms_[{kind, mode}] = wall_ms;
-    load_ = load;
-    seed_ = seed;
-  }
-
-  /// Same self-describing stamp as FigureStore::stamp_provenance: the DES
-  /// queue kind and live obs features land in the artifact header so a
-  /// reader knows what produced it. Never part of the compare_runs gate.
-  void stamp_provenance(const sim::SimOptions& o) {
-    des_queue_ = des::queue_kind_name(o.des_queue);
-    obs_enabled_ = o.obs.enabled;
-    obs_trace_ = o.obs.enabled && !o.obs.trace_path.empty();
-    obs_monitors_ = o.obs.enabled && o.obs.monitors.any();
-    obs_telemetry_ = o.obs.telemetry_on();
-    obs_flight_ = o.obs.flight_recorder_on();
-  }
-
-  /// Prints one row per workload kind, one column block per mode: the
-  /// makespan panel (the headline), then throughput and active power.
-  void print(const std::string& title) const {
-    if (results_.empty()) return;
-    std::vector<std::string> kinds;
-    for (const auto& [key, r] : results_) {
-      if (std::find(kinds.begin(), kinds.end(), key.first) == kinds.end())
-        kinds.push_back(key.first);
-    }
-    const std::vector<std::string> order = {"NP-NB", "P-NB", "NP-B", "P-B"};
-    std::vector<std::string> present;
-    for (const auto& m : order) {
-      for (const auto& [key, r] : results_) {
-        if (key.second == m) {
-          present.push_back(m);
-          break;
-        }
-      }
-    }
-
-    auto panel = [&](const std::string& name, auto metric) {
-      std::cout << "\n== " << title << ": " << name << " ==\n";
-      std::vector<std::string> header = {"workload"};
-      for (const auto& m : present) header.push_back(m);
-      util::TablePrinter t(header);
-      for (const auto& kind : kinds) {
-        std::vector<std::string> row = {kind};
-        for (const auto& m : present) {
-          const auto it = results_.find({kind, m});
-          row.push_back(it == results_.end()
-                            ? "-"
-                            : util::TablePrinter::fixed(metric(it->second), 3));
-        }
-        t.row(std::move(row));
-      }
-      t.print(std::cout);
-    };
-
-    panel("makespan (cycles to completion; horizon if incomplete)",
-          [](const sim::SimResult& r) { return static_cast<double>(r.end_cycle); });
-    panel("worst phase (cycles)", [](const sim::SimResult& r) {
-      return static_cast<double>(r.workload.worst_phase_cycles);
-    });
-    panel("accepted throughput (fraction of N_c over the makespan)",
-          [](const sim::SimResult& r) { return r.accepted_fraction; });
-    panel("active optical power (mW)",
-          [](const sim::SimResult& r) { return r.active_power_avg_mw; });
-  }
-
-  [[nodiscard]] bool empty() const { return results_.empty(); }
-
-  /// True only if every recorded point ran its workload to completion.
-  [[nodiscard]] bool all_completed() const {
-    for (const auto& [key, r] : results_) {
-      if (!r.workload.completed) return false;
-    }
-    return true;
-  }
-
-  /// Writes the BENCH_<slug>.json artifact (schema erapid-bench-1).
-  /// Points carry the standard figure-bench metrics plus the
-  /// completion-bounded ones (completed, makespan_cycles, worst phase /
-  /// episode) that compare_runs.py gates as regressions.
-  std::string write_json(const std::string& dir, const std::string& slug,
-                         const std::string& title) const {
-    const char* rev_env = std::getenv("ERAPID_GIT_REV");
-    const std::string rev = rev_env != nullptr ? rev_env : "unknown";
-    const std::string path = dir + "/BENCH_" + slug + ".json";
-    std::ofstream out(path);
-    if (!out) {
-      std::cerr << "bench: cannot open " << path << " for writing\n";
-      return {};
-    }
-    out.precision(15);
-    out << "{\n"
-        << "  \"schema\": \"erapid-bench-1\",\n"
-        << "  \"bench\": \"" << title << "\",\n"
-        << "  \"pattern\": \"workload\",\n"
-        << "  \"git_rev\": \"" << rev << "\",\n"
-        << "  \"des_queue\": \"" << des_queue_ << "\",\n"
-        << "  \"obs\": {\"enabled\": " << (obs_enabled_ ? "true" : "false")
-        << ", \"trace\": " << (obs_trace_ ? "true" : "false")
-        << ", \"monitors\": " << (obs_monitors_ ? "true" : "false")
-        << ", \"telemetry\": " << (obs_telemetry_ ? "true" : "false")
-        << ", \"flight_recorder\": " << (obs_flight_ ? "true" : "false") << "},\n"
-        << "  \"points\": [";
-    bool first = true;
-    for (const auto& [key, r] : results_) {
-      const auto wall_it = wall_ms_.find(key);
-      const double wall = wall_it == wall_ms_.end() ? 0.0 : wall_it->second;
-      out << (first ? "\n" : ",\n") << "    {"
-          << "\"pattern\": \"" << key.first << "\", "
-          << "\"mode\": \"" << key.second << "\", "
-          << "\"load\": " << load_ << ", "
-          << "\"seed\": " << seed_ << ", "
-          << "\"completed\": " << (r.workload.completed ? "true" : "false") << ", "
-          << "\"makespan_cycles\": " << r.end_cycle << ", "
-          << "\"worst_phase_cycles\": " << r.workload.worst_phase_cycles << ", "
-          << "\"worst_episode_cycles\": " << r.workload.worst_episode_cycles << ", "
-          << "\"throughput_xNc\": " << r.accepted_fraction << ", "
-          << "\"latency_avg_cycles\": " << r.latency_avg << ", "
-          << "\"latency_p99_cycles\": " << r.latency_p99 << ", "
-          << "\"power_avg_mw\": " << r.power_avg_mw << ", "
-          << "\"active_power_avg_mw\": " << r.active_power_avg_mw << ", "
-          << "\"energy_per_packet_mw_cycles\": "
-          << (r.packets_delivered_measured > 0
-                  ? r.power_avg_mw * static_cast<double>(r.end_cycle) /
-                        static_cast<double>(r.packets_delivered_measured)
-                  : 0.0)
-          << ", "
-          << "\"drained\": " << (r.drained ? "true" : "false");
-      if (!r.monitors.empty()) {
-        out << ", \"monitors_ok\": " << (r.monitors_ok() ? "true" : "false")
-            << ", \"monitor_violations\": " << r.monitor_violations;
-      }
-      out << ", \"wall_ms\": " << wall << "}";
-      first = false;
-    }
-    double wall_sum = 0.0;
-    double wall_max = 0.0;
-    for (const auto& [key, wall] : wall_ms_) {
-      wall_sum += wall;
-      if (wall > wall_max) wall_max = wall;
-    }
-    out << "\n  ],\n"
-        << "  \"wall_ms_sum\": " << wall_sum << ",\n"
-        << "  \"wall_ms_max\": " << wall_max << "\n}\n";
-    return path;
-  }
-
- private:
-  std::map<std::pair<std::string, std::string>, sim::SimResult> results_;
-  std::map<std::pair<std::string, std::string>, double> wall_ms_;
-  double load_ = 0.0;
-  std::uint64_t seed_ = 0;
-  std::string des_queue_ = "heap";
-  bool obs_enabled_ = false;
-  bool obs_trace_ = false;
-  bool obs_monitors_ = false;
-  bool obs_telemetry_ = false;
-  bool obs_flight_ = false;
-};
-
-inline WorkloadStore& workload_store() {
-  static WorkloadStore s;
-  return s;
-}
-
-/// Runs one (kind, mode) point to completion and records it. Wall time is
-/// measured here around the whole simulation, never inside the model.
+/// Runs one (kind, mode) point to completion and records it.
 inline void run_workload_point(benchmark::State& state, workload::WorkloadKind kind,
                                const reconfig::NetworkMode& mode) {
-  sim::SimResult result;
-  double wall_ms = 0.0;
   sim::SimOptions o = workload_bench_options(kind);
-  for (auto _ : state) {
-    const auto wall_start = std::chrono::steady_clock::now();
-    o.reconfig.mode = mode;
-    workload_store().stamp_provenance(o);
-    sim::Simulation s(o);
-    result = s.run();
-    benchmark::DoNotOptimize(&result);
-    wall_ms = std::chrono::duration<double, std::milli>(
-                  std::chrono::steady_clock::now() - wall_start)
-                  .count();
-  }
+  o.reconfig.mode = mode;
+  const sim::SimResult& result = store().run(state, o);
   state.counters["makespan_cyc"] = static_cast<double>(result.end_cycle);
   state.counters["completed"] = result.workload.completed ? 1.0 : 0.0;
   state.counters["power_mW"] = result.active_power_avg_mw;
-  workload_store().put(std::string(workload::kind_name(kind)),
-                       std::string(mode.name), o.workload.phase_rate, o.seed, result,
-                       wall_ms);
 }
 
-/// Registers the kinds × 4-mode sweep.
-inline void register_workloads(const std::vector<workload::WorkloadKind>& kinds) {
-  for (const auto kind : kinds) {
-    for (const auto& mode : all_modes()) {
-      const std::string name =
-          std::string(workload::kind_name(kind)) + "/" + std::string(mode.name);
-      benchmark::RegisterBenchmark(
-          name.c_str(),
-          [kind, mode](benchmark::State& st) { run_workload_point(st, kind, mode); })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
-    }
-  }
+/// Prints one row per workload kind, one column per mode: the makespan
+/// panel (the headline), then worst phase, throughput and active power.
+inline void print_workloads(const std::string& title) {
+  const auto panel = [&](const std::string& name, auto metric) {
+    store().print_panel(
+        title + ": " + name, "workload", [](const sim::PointKey& k) { return k.pattern; },
+        metric);
+  };
+  panel("makespan (cycles to completion; horizon if incomplete)",
+        [](const sim::SimResult& r) { return static_cast<double>(r.end_cycle); });
+  panel("worst phase (cycles)", [](const sim::SimResult& r) {
+    return static_cast<double>(r.workload.worst_phase_cycles);
+  });
+  panel("accepted throughput (fraction of N_c over the makespan)",
+        [](const sim::SimResult& r) { return r.accepted_fraction; });
+  panel("active optical power (mW)",
+        [](const sim::SimResult& r) { return r.active_power_avg_mw; });
 }
 
-/// Standard main body for a workload bench. Exits non-zero if any point
-/// failed to complete within its horizon, so CI catches deadlocks even
-/// without the JSON gate.
+/// Standard main body for a workload bench: the kinds × 4-mode sweep.
+/// Exits non-zero if any point failed to complete within its horizon, so
+/// CI catches deadlocks even without the JSON gate.
 inline int workload_main(int argc, char** argv,
                          const std::vector<workload::WorkloadKind>& kinds,
                          const std::string& title) {
   benchmark::Initialize(&argc, argv);
-  register_workloads(kinds);
+  for (const auto kind : kinds) {
+    for (const auto& mode : all_modes()) {
+      register_point(
+          std::string(workload::kind_name(kind)) + "/" + std::string(mode.name),
+          [kind, mode](benchmark::State& st) { run_workload_point(st, kind, mode); });
+    }
+  }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  workload_store().print(title);
-  if (const char* json_dir = std::getenv("ERAPID_BENCH_JSON");
-      json_dir != nullptr && !workload_store().empty()) {
-    const auto path =
-        workload_store().write_json(json_dir, bench_slug(title), title);
-    if (!path.empty()) std::cout << "\nbench JSON written to " << path << "\n";
-  }
-  if (!workload_store().empty() && !workload_store().all_completed()) {
-    std::cerr << "\nbench: at least one workload point hit its horizon without "
-                 "completing\n";
-    return 1;
+  if (store().points().empty()) return 0;
+  print_workloads(title);
+  store().write_json(bench_slug(title), title, "workload");
+  for (const auto& [key, point] : store().points()) {
+    if (!point.result.workload.completed) {
+      std::cerr << "\nbench: at least one workload point hit its horizon without "
+                   "completing\n";
+      return 1;
+    }
   }
   return 0;
 }

@@ -39,10 +39,10 @@ double parse_real(std::string_view key, const std::string& text) {
 }
 
 bool parse_bool(std::string_view key, const std::string& text) {
-  const bool yes = text == "true" || text == "1" || text == "yes" || text == "on";
-  const bool no = text == "false" || text == "0" || text == "no" || text == "off";
-  ERAPID_EXPECT(yes || no, key << " must be true|false|1|0|yes|no|on|off, got '" << text << "'");
-  return yes;
+  const auto v = util::parse_bool(text);
+  ERAPID_EXPECT(v.has_value(),
+                key << " must be " << util::kBoolSpellings << ", got '" << text << "'");
+  return *v;
 }
 
 /// Unwraps a by-name lookup; nullopt means the name is unknown.

@@ -1,9 +1,12 @@
 #include "sim/report.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
+#include "des/event_queue.hpp"
 #include "util/expect.hpp"
+#include "workload/spec.hpp"
 
 namespace erapid::sim {
 
@@ -11,7 +14,11 @@ namespace {
 
 class JsonObject {
  public:
+  /// Multi-line object whose fields sit at `indent + 2` spaces.
   explicit JsonObject(int indent) : indent_(indent) { os_.precision(15); }
+
+  /// Single-line object: {"a": 1, "b": 2}.
+  static JsonObject one_line() { return JsonObject(kOneLine); }
 
   template <typename T>
   void field(const char* name, const T& value) {
@@ -32,19 +39,33 @@ class JsonObject {
   }
 
   [[nodiscard]] std::string str() const {
+    if (indent_ == kOneLine) return "{" + os_.str() + "}";
     return "{" + os_.str() + "\n" + pad(indent_) + "}";
   }
 
  private:
+  static constexpr int kOneLine = -1;
   static std::string pad(int n) { return std::string(static_cast<std::size_t>(n), ' '); }
   void sep() {
-    os_ << (first_ ? "\n" : ",\n") << pad(indent_ + 2);
+    if (indent_ == kOneLine) {
+      os_ << (first_ ? "" : ", ");
+    } else {
+      os_ << (first_ ? "\n" : ",\n") << pad(indent_ + 2);
+    }
     first_ = false;
   }
   std::ostringstream os_;
   int indent_;
   bool first_ = true;
 };
+
+/// Whether `r` came from a completion-bounded workload, by the same rule
+/// WorkloadSpec::completion_bounded applies to the options.
+bool completion_bounded(const SimResult& r) {
+  workload::WorkloadSpec spec;
+  spec.kind = workload::parse_kind(r.workload.kind).value_or(workload::WorkloadKind::Bernoulli);
+  return spec.completion_bounded();
+}
 
 }  // namespace
 
@@ -218,6 +239,93 @@ void write_results_json(const std::string& path,
   std::ofstream out(path);
   ERAPID_EXPECT(static_cast<bool>(out), "cannot open JSON report: " + path);
   out << results_to_json(named);
+}
+
+PointKey point_key(const SimOptions& o, const SimResult& r) {
+  const std::string pattern(o.workload.active() ? workload::kind_name(o.workload.kind)
+                                                : traffic::pattern_name(o.pattern));
+  return {pattern, std::string(o.reconfig.mode.name), std::nullopt, r.offered_fraction, o.seed};
+}
+
+std::string bench_point_json(const PointKey& key, const SimResult& r, double wall_ms) {
+  JsonObject p = JsonObject::one_line();
+  p.field("pattern", key.pattern);
+  p.field("mode", key.mode);
+  if (key.cap_mw) p.field("cap_mw", *key.cap_mw);
+  p.field("load", key.load);
+  p.field("seed", key.seed);
+  if (completion_bounded(r)) {
+    p.field("completed", r.workload.completed);
+    p.field("makespan_cycles", r.end_cycle);
+    p.field("worst_phase_cycles", r.workload.worst_phase_cycles);
+    p.field("worst_episode_cycles", r.workload.worst_episode_cycles);
+  }
+  p.field("throughput_xNc", r.accepted_fraction);
+  p.field("latency_avg_cycles", r.latency_avg);
+  p.field("latency_p99_cycles", r.latency_p99);
+  p.field("power_avg_mw", r.power_avg_mw);
+  p.field("active_power_avg_mw", r.active_power_avg_mw);
+  p.field("energy_per_packet_mw_cycles",
+          r.packets_delivered_measured > 0
+              ? r.power_avg_mw * static_cast<double>(r.end_cycle) /
+                    static_cast<double>(r.packets_delivered_measured)
+              : 0.0);
+  p.field("drained", r.drained);
+  if (!r.monitors.empty()) {
+    p.field("monitors_ok", r.monitors_ok());
+    p.field("monitor_violations", r.monitor_violations);
+  }
+  if (r.resilience.active) {
+    JsonObject d = JsonObject::one_line();
+    d.field("engaged", r.resilience.engaged);
+    d.field("peak_stage", r.resilience.peak_stage);
+    d.field("steps_down", r.resilience.steps_down);
+    d.field("steps_up", r.resilience.steps_up);
+    d.field("lanes_shed", r.resilience.lanes_shed);
+    d.field("lanes_slept", r.resilience.lanes_slept);
+    d.field("suppressed_violations", r.resilience.suppressed_violations);
+    p.raw_field("resilience", d.str());
+  }
+  p.field("wall_ms", wall_ms);
+  return p.str();
+}
+
+void BenchDoc::stamp(const SimOptions& o) {
+  des_queue = des::queue_kind_name(o.des_queue);
+  obs_enabled |= o.obs.enabled;
+  obs_trace |= o.obs.enabled && !o.obs.trace_path.empty();
+  obs_monitors |= o.obs.enabled && o.obs.monitors.any();
+  obs_telemetry |= o.obs.telemetry_on();
+  obs_flight_recorder |= o.obs.flight_recorder_on();
+}
+
+std::string bench_doc_json(const BenchDoc& doc, const BenchPoints& points) {
+  JsonObject d(0);
+  d.field("schema", "erapid-bench-1");
+  d.field("bench", doc.bench);
+  d.field("pattern", doc.pattern);
+  d.field("git_rev", doc.git_rev);
+  d.field("des_queue", doc.des_queue);
+  JsonObject obs = JsonObject::one_line();
+  obs.field("enabled", doc.obs_enabled);
+  obs.field("trace", doc.obs_trace);
+  obs.field("monitors", doc.obs_monitors);
+  obs.field("telemetry", doc.obs_telemetry);
+  obs.field("flight_recorder", doc.obs_flight_recorder);
+  d.raw_field("obs", obs.str());
+  std::string list;
+  double wall_sum = 0.0;
+  double wall_max = 0.0;
+  for (const auto& [key, run] : points) {
+    list += (list.empty() ? "\n    " : ",\n    ") +
+            bench_point_json(key, run.result, run.wall_ms);
+    wall_sum += run.wall_ms;
+    wall_max = std::max(wall_max, run.wall_ms);
+  }
+  d.raw_field("points", "[" + list + "\n  ]");
+  d.field("wall_ms_sum", wall_sum);
+  d.field("wall_ms_max", wall_max);
+  return d.str() + "\n";
 }
 
 }  // namespace erapid::sim

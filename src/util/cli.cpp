@@ -1,6 +1,7 @@
 #include "util/cli.hpp"
 
-#include <cstdlib>
+#include "util/expect.hpp"
+#include "util/number_text.hpp"
 
 namespace erapid::util {
 
@@ -36,19 +37,28 @@ std::string Cli::get_or(const std::string& key, const std::string& def) const {
 }
 
 long Cli::get_int(const std::string& key, long def) const {
-  auto v = get(key);
-  return v ? std::strtol(v->c_str(), nullptr, 10) : def;
+  const auto v = get(key);
+  if (!v) return def;
+  const auto n = parse_signed<long>(*v);
+  ERAPID_EXPECT(n.has_value(), "--" << key << " must be an integer, got '" << *v << "'");
+  return *n;
 }
 
 double Cli::get_double(const std::string& key, double def) const {
-  auto v = get(key);
-  return v ? std::strtod(v->c_str(), nullptr) : def;
+  const auto v = get(key);
+  if (!v) return def;
+  const auto x = parse_real(*v);
+  ERAPID_EXPECT(x.has_value(), "--" << key << " must be a finite real, got '" << *v << "'");
+  return *x;
 }
 
 bool Cli::get_bool(const std::string& key, bool def) const {
-  auto v = get(key);
+  const auto v = get(key);
   if (!v) return def;
-  return *v == "true" || *v == "1" || *v == "yes" || *v == "on";
+  const auto b = parse_bool(*v);
+  ERAPID_EXPECT(b.has_value(),
+                "--" << key << " must be " << kBoolSpellings << ", got '" << *v << "'");
+  return *b;
 }
 
 }  // namespace erapid::util

@@ -24,6 +24,9 @@ class Cli {
 
   [[nodiscard]] std::optional<std::string> get(const std::string& key) const;
   [[nodiscard]] std::string get_or(const std::string& key, const std::string& def) const;
+  /// Typed getters return `def` when the flag is absent. A present value
+  /// must spell the whole type (util/number_text.hpp rules); anything else
+  /// throws ModelInvariantError naming the flag.
   [[nodiscard]] long get_int(const std::string& key, long def) const;
   [[nodiscard]] double get_double(const std::string& key, double def) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool def) const;

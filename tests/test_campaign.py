@@ -13,6 +13,7 @@ with ERAPID_REGEN_GOLDEN=1).
 import json
 import os
 import stat
+import subprocess
 import sys
 import tempfile
 import unittest
@@ -366,6 +367,34 @@ class GoldenCampaignTest(unittest.TestCase):
             serial.decode(), GOLDEN_PATH.read_text(),
             "campaign artifact drifted from golden; if intentional, "
             "regenerate with ERAPID_REGEN_GOLDEN=1")
+
+
+class WorkerPointTest(unittest.TestCase):
+    """The real worker's point record for a completion-bounded workload."""
+
+    def test_capped_allreduce_point_is_keyed_by_kind_and_phase_rate(self):
+        binary = campaign_binary()
+        if binary is None:
+            self.skipTest("erapid_campaign binary not built")
+        # A horizon far too short for the collective: the point must say
+        # it did not complete instead of passing for a Bernoulli point.
+        point = {
+            "pattern": "uniform", "mode": "P-B", "load": 0.3, "seed": 1,
+            "overrides": {
+                "system.boards": 4, "system.nodes_per_board": 4,
+                "workload.kind": "allreduce", "workload.phase_rate": 0.6,
+                "workload.horizon_cycles": 200,
+            },
+        }
+        proc = subprocess.run(
+            campaign.worker_argv(binary, point, no_wall=True),
+            capture_output=True, text=True, timeout=120, check=True)
+        rec = json.loads(proc.stdout)
+        self.assertEqual(rec["pattern"], "allreduce")
+        self.assertEqual(rec["load"], 0.6)
+        self.assertIs(rec["completed"], False)
+        self.assertEqual(rec["makespan_cycles"], 200)
+        self.assertEqual(rec["seed"], 1)
 
 
 if __name__ == "__main__":

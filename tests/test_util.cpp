@@ -216,6 +216,49 @@ TEST(Cli, IntParsingWithDefault) {
   EXPECT_EQ(cli.get_int("missing", 99), 99);
 }
 
+/// The message of the ModelInvariantError `fn` throws; "" if none.
+template <class Fn>
+std::string cli_error(Fn fn) {
+  try {
+    fn();
+  } catch (const erapid::ModelInvariantError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Cli, IntIsSignedAndStrict) {
+  const char* argv[] = {"prog", "--delta=-3", "--boards=8x", "--seed=", "--big=1e3"};
+  const auto cli = Cli::parse(5, argv);
+  EXPECT_EQ(cli.get_int("delta", 0), -3);
+  const std::string err = cli_error([&] { (void)cli.get_int("boards", 0); });
+  EXPECT_NE(err.find("--boards"), std::string::npos) << err;
+  EXPECT_NE(err.find("'8x'"), std::string::npos) << err;
+  EXPECT_THROW((void)cli.get_int("seed", 0), erapid::ModelInvariantError);
+  EXPECT_THROW((void)cli.get_int("big", 0), erapid::ModelInvariantError);
+}
+
+TEST(Cli, DoubleRejectsMalformedText) {
+  const char* argv[] = {"prog", "--load=abc", "--rate=0.5x", "--cap=inf", "--ok=-2.5e-1"};
+  const auto cli = Cli::parse(5, argv);
+  EXPECT_DOUBLE_EQ(cli.get_double("ok", 0), -0.25);
+  const std::string err = cli_error([&] { (void)cli.get_double("load", 0); });
+  EXPECT_NE(err.find("--load"), std::string::npos) << err;
+  EXPECT_THROW((void)cli.get_double("rate", 0), erapid::ModelInvariantError);
+  EXPECT_THROW((void)cli.get_double("cap", 0), erapid::ModelInvariantError);
+}
+
+TEST(Cli, BoolAcceptsExactlyTheIniSpellings) {
+  const char* argv[] = {"prog", "--a=yes", "--b=on", "--c=1", "--d=off", "--e=no",
+                        "--f=0", "--g=false", "--json=ture", "--h=TRUE"};
+  const auto cli = Cli::parse(10, argv);
+  for (const char* key : {"a", "b", "c"}) EXPECT_TRUE(cli.get_bool(key, false)) << key;
+  for (const char* key : {"d", "e", "f", "g"}) EXPECT_FALSE(cli.get_bool(key, true)) << key;
+  const std::string err = cli_error([&] { (void)cli.get_bool("json", false); });
+  EXPECT_NE(err.find("--json"), std::string::npos) << err;
+  EXPECT_THROW((void)cli.get_bool("h", false), erapid::ModelInvariantError);
+}
+
 // ---- Arena -------------------------------------------------------------
 
 TEST(Arena, RespectsRequestedAlignment) {

@@ -1,7 +1,8 @@
 // Tests for the workload subsystem: schedule builders, the phase engine's
 // pacing/completion machinery, the tenant fleet, and the end-to-end
 // completion-bounded simulation path (determinism per seed, completion
-// without deadlock under all four network modes, golden fixture).
+// without deadlock under all four network modes, golden fixture), and the
+// erapid-bench-1 point emitter that records workload points.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -405,6 +406,133 @@ TEST(TraceKind, ReplaysCommittedTraceToCompletion) {
   EXPECT_GT(r.workload.completion_cycle, 650u);
   const auto again = erapid::sim::to_json(Simulation(o).run());
   EXPECT_EQ(erapid::sim::to_json(r), again);
+}
+
+// ---- erapid-bench-1 point emitter -------------------------------------------
+
+using erapid::sim::bench_point_json;
+using erapid::sim::PointKey;
+
+// The campaign worker's record for the first point of the committed
+// campaign golden (uniform, P-B, 0.3 N_c, seed 1, short windows, no wall).
+TEST(BenchPoint, BernoulliPointMatchesTheCampaignWorkerRecordExactly) {
+  SimOptions o;
+  o.pattern = PatternKind::Uniform;
+  o.reconfig.mode = NetworkMode::p_b();
+  o.load_fraction = 0.3;
+  o.seed = 1;
+  o.warmup_cycles = 1000;
+  o.measure_cycles = 2000;
+  o.drain_limit = 30000;
+  const SimResult r = Simulation(o).run();
+  EXPECT_EQ(bench_point_json(erapid::sim::point_key(o, r), r, 0.0),
+            "{\"pattern\": \"uniform\", \"mode\": \"P-B\", \"load\": 0.3, \"seed\": 1, "
+            "\"throughput_xNc\": 0.298063492063492, \"latency_avg_cycles\": 147.267316017316, "
+            "\"latency_p99_cycles\": 338.510769230769, \"power_avg_mw\": 1952.91837, "
+            "\"active_power_avg_mw\": 687.944725, "
+            "\"energy_per_packet_mw_cycles\": 8528.02781659388, \"drained\": true, "
+            "\"wall_ms\": 0}");
+}
+
+TEST(BenchPoint, KeyNamesTheWorkloadKindAndItsOfferedLoad) {
+  SimOptions o;
+  o.seed = 9;
+  o.reconfig.mode = NetworkMode::np_b();
+  SimResult r;
+  r.offered_fraction = 0.4;
+  EXPECT_EQ(erapid::sim::point_key(o, r), (PointKey{"uniform", "NP-B", {}, 0.4, 9}));
+  o.workload.kind = workload::WorkloadKind::AllReduce;
+  r.offered_fraction = 0.6;
+  EXPECT_EQ(erapid::sim::point_key(o, r), (PointKey{"allreduce", "NP-B", {}, 0.6, 9}));
+}
+
+bool has_field(const std::string& json, const std::string& name) {
+  return json.find("\"" + name + "\": ") != std::string::npos;
+}
+
+TEST(BenchPoint, ConditionalBlocksFollowTheResult) {
+  const PointKey key{"uniform", "P-B", {}, 0.5, 1};
+  SimResult r;
+  const std::string plain = bench_point_json(key, r, 1.0);
+  for (const char* absent : {"cap_mw", "completed", "makespan_cycles", "worst_phase_cycles",
+                             "worst_episode_cycles", "monitors_ok", "monitor_violations",
+                             "resilience"}) {
+    EXPECT_FALSE(has_field(plain, absent)) << absent;
+  }
+
+  PointKey capped = key;
+  capped.cap_mw = 200.0;
+  EXPECT_NE(bench_point_json(capped, r, 1.0).find("\"mode\": \"P-B\", \"cap_mw\": 200, \"load\""),
+            std::string::npos);
+
+  // Tenants runs a windowed workload: no completion fields.
+  r.workload.kind = "tenants";
+  EXPECT_FALSE(has_field(bench_point_json(key, r, 1.0), "completed"));
+  r.workload.kind = "allreduce";
+  r.workload.completed = false;
+  r.end_cycle = 200;
+  const std::string bounded = bench_point_json(key, r, 1.0);
+  EXPECT_NE(bounded.find("\"completed\": false, \"makespan_cycles\": 200, "),
+            std::string::npos)
+      << bounded;
+
+  r.monitors = {{"power_cap", "{}"}};
+  r.monitor_violations = 3;
+  const std::string monitored = bench_point_json(key, r, 1.0);
+  EXPECT_NE(monitored.find("\"monitors_ok\": false, \"monitor_violations\": 3"),
+            std::string::npos)
+      << monitored;
+
+  r.resilience.active = true;
+  r.resilience.peak_stage = "shed";
+  r.resilience.lanes_shed = 4;
+  const std::string degraded = bench_point_json(key, r, 1.0);
+  EXPECT_NE(degraded.find("\"resilience\": {\"engaged\": false, \"peak_stage\": \"shed\", "
+                          "\"steps_down\": 0, \"steps_up\": 0, \"lanes_shed\": 4, "
+                          "\"lanes_slept\": 0, \"suppressed_violations\": 0}, \"wall_ms\": 1}"),
+            std::string::npos)
+      << degraded;
+}
+
+TEST(BenchPoint, FieldOrderIsFixed) {
+  SimResult r;
+  r.workload.kind = "fft";
+  r.monitors = {{"power_cap", "{}"}};
+  r.resilience.active = true;
+  const std::string json = bench_point_json(PointKey{"fft", "P-B", 100.0, 0.7, 1}, r, 2.0);
+  const std::vector<std::string> order = {
+      "pattern", "mode", "cap_mw", "load", "seed", "completed", "makespan_cycles",
+      "worst_phase_cycles", "worst_episode_cycles", "throughput_xNc", "latency_avg_cycles",
+      "latency_p99_cycles", "power_avg_mw", "active_power_avg_mw",
+      "energy_per_packet_mw_cycles", "drained", "monitors_ok", "monitor_violations",
+      "resilience", "wall_ms"};
+  std::size_t at = 0;
+  for (const auto& name : order) {
+    const std::size_t next = json.find("\"" + name + "\": ", at);
+    ASSERT_NE(next, std::string::npos) << name << " missing or out of order in " << json;
+    at = next;
+  }
+}
+
+TEST(BenchPoint, DocumentListsPointsInKeyOrderWithWallAggregates) {
+  erapid::sim::BenchPoints points;
+  points[PointKey{"uniform", "P-B", {}, 0.5, 1}].wall_ms = 1.5;
+  points[PointKey{"uniform", "NP-B", {}, 0.5, 1}].wall_ms = 2.5;
+  erapid::sim::BenchDoc doc;
+  doc.bench = "Figure X";
+  doc.pattern = "uniform";
+  doc.git_rev = "abc";
+  const std::string json = erapid::sim::bench_doc_json(doc, points);
+  EXPECT_EQ(json.rfind("{\n  \"schema\": \"erapid-bench-1\",\n  \"bench\": \"Figure X\",\n"
+                       "  \"pattern\": \"uniform\",\n  \"git_rev\": \"abc\",\n"
+                       "  \"des_queue\": \"heap\",\n  \"obs\": {\"enabled\": false, ",
+                       0),
+            0u)
+      << json;
+  EXPECT_LT(json.find("\"mode\": \"NP-B\""), json.find("\"mode\": \"P-B\""));
+  EXPECT_NE(json.find("\n  ],\n  \"wall_ms_sum\": 4,\n  \"wall_ms_max\": 2.5\n}\n"),
+            std::string::npos)
+      << json;
 }
 
 // ---- golden fixture ---------------------------------------------------------

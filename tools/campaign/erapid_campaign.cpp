@@ -8,9 +8,9 @@
 // point takes down one process, and the driver records the failure without
 // disturbing any other point.
 //
-// Output floats use precision 15, matching bench/figure_common.hpp, so a
-// campaign point is numerically comparable to the serial bench artifact
-// for the same configuration.
+// The point is sim::bench_point_json's erapid-bench-1 record — the same
+// writer the serial benches use — so a campaign point compares field for
+// field with the bench artifact for the same configuration.
 //
 // Flags:
 //   --pattern=NAME --mode=NAME --load=F --seed=N   the point coordinates
@@ -27,10 +27,10 @@
 
 #include <chrono>  // det-lint: allow-file(nondet-source)
 #include <iostream>
-#include <sstream>
 #include <string>
 
 #include "sim/options_io.hpp"
+#include "sim/report.hpp"
 #include "sim/simulation.hpp"
 #include "util/cli.hpp"
 #include "util/ini.hpp"
@@ -40,7 +40,7 @@ namespace {
 using erapid::sim::SimOptions;
 using erapid::sim::SimResult;
 
-/// JSON string escaping for error messages and names (the subset we emit).
+/// JSON string escaping for the error message (the subset we emit).
 std::string json_escape(const std::string& s) {
   std::string out;
   for (char c : s) {
@@ -54,36 +54,6 @@ std::string json_escape(const std::string& s) {
     }
   }
   return out;
-}
-
-/// The per-point record. Field set mirrors bench/figure_common.hpp's
-/// write_json points, extended with the full point key (pattern, seed) so
-/// the merged campaign artifact can be compared point-by-point.
-void print_point_json(const SimOptions& o, const SimResult& r, double wall_ms,
-                      std::ostream& out) {
-  out.precision(15);
-  out << "{"
-      << "\"pattern\": \"" << erapid::traffic::pattern_name(o.pattern) << "\", "
-      << "\"mode\": \"" << o.reconfig.mode.name << "\", "
-      << "\"load\": " << o.load_fraction << ", "
-      << "\"seed\": " << o.seed << ", "
-      << "\"throughput_xNc\": " << r.accepted_fraction << ", "
-      << "\"latency_avg_cycles\": " << r.latency_avg << ", "
-      << "\"latency_p99_cycles\": " << r.latency_p99 << ", "
-      << "\"power_avg_mw\": " << r.power_avg_mw << ", "
-      << "\"active_power_avg_mw\": " << r.active_power_avg_mw << ", "
-      << "\"energy_per_packet_mw_cycles\": "
-      << (r.packets_delivered_measured > 0
-              ? r.power_avg_mw * static_cast<double>(r.end_cycle) /
-                    static_cast<double>(r.packets_delivered_measured)
-              : 0.0)
-      << ", "
-      << "\"drained\": " << (r.drained ? "true" : "false");
-  if (!r.monitors.empty()) {
-    out << ", \"monitors_ok\": " << (r.monitors_ok() ? "true" : "false")
-        << ", \"monitor_violations\": " << r.monitor_violations;
-  }
-  out << ", \"wall_ms\": " << wall_ms << "}\n";
 }
 
 }  // namespace
@@ -122,7 +92,9 @@ int main(int argc, char** argv) {
                                                             wall_start)
                       .count();
 
-    print_point_json(opts, result, wall_ms, std::cout);
+    std::cout << erapid::sim::bench_point_json(erapid::sim::point_key(opts, result), result,
+                                               wall_ms)
+              << "\n";
     return 0;
   } catch (const std::exception& e) {
     // One line of structured stderr: the driver embeds it in the failed

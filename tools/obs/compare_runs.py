@@ -6,9 +6,9 @@ relative thresholds:
 
   * bench artifacts (``BENCH_<slug>.json`` and campaign artifacts
     ``CAMPAIGN_<name>.json``, both schema erapid-bench-1): points are
-    matched by (pattern, mode, load, seed) — components absent from a
-    point (older artifacts carry only mode/load) match as absent on both
-    sides — and every per-point metric is compared with a direction-aware
+    matched by (pattern, mode, cap_mw, load, seed) — components absent
+    from a point (external or older artifacts may carry only mode/load)
+    match as absent on both sides — and every per-point metric is compared with a direction-aware
     rule — throughput falling, latency/power/energy rising,
     ``drained``/``monitors_ok`` flipping to false are regressions;
     improvements and sub-threshold drift are reported but never fail. A
@@ -273,10 +273,10 @@ def compare_resilience(label, base_res, cand_res, threshold, out):
 
 
 def point_key(p):
-    """Full point identity. Components a point does not carry (older bench
-    artifacts have no pattern/seed; only brownout sweeps have cap_mw) stay
-    None and match None on the other side, so pre-campaign artifacts keep
-    comparing exactly as before."""
+    """Full point identity. Every committed artifact carries pattern and
+    seed (all points come from one emitter); only brownout sweeps have
+    cap_mw. Components an external or older artifact does not carry stay
+    None and match None on the other side."""
     return (p.get("pattern"), p.get("mode"), p.get("cap_mw"), p.get("load"),
             p.get("seed"))
 
